@@ -9,11 +9,12 @@
     reconstructs the file once it holds *any* [required] of them.
 
     Completion is therefore no longer [w(v) ⊆ p(v)] but a per-group
-    counting condition, so coded workloads run through {!run}, a thin
-    engine loop sharing the §3.1 move semantics with
-    {!Ocd_engine.Engine} but stopping on the coded predicate.  The
-    schedules it records are §3.1-valid for the underlying instance
-    (validated on completion); only the termination condition differs.
+    counting condition, so coded workloads run through {!run}: the
+    engine's own round loop ({!Ocd_engine.Engine.loop}, strict §3.1
+    admission) with the coded predicate as its
+    {!Ocd_engine.Engine.Until} goal.  The schedules it records are
+    §3.1-valid for the underlying instance (validated on completion);
+    only the termination condition differs.
 
     The benefit of coding in the loss-free OCD model is the classic
     last-block effect: with [coded = required] (no redundancy) a
@@ -73,4 +74,5 @@ val run :
   run
 (** Runs a strategy until every receiver has decoded (or the run
     aborts).  The strategy sees the underlying instance; any §5.1
-    heuristic works unmodified. *)
+    heuristic works unmodified.  Defaults are {!Ocd_engine.Engine.run}'s;
+    an invalid proposal raises {!Ocd_engine.Engine.Strategy_error}. *)

@@ -16,20 +16,28 @@
 
     A vertex whose wants are temporarily unreachable simply waits;
     the stall guard therefore defaults to a more generous patience
-    than the static engine's. *)
+    than the static engine's.
+
+    This is {!Ocd_engine.Engine.loop} with a
+    {!Ocd_engine.Engine.Lossy} admission built from
+    {!Condition.effective} and a view built from {!Condition.graph_at}:
+    the round semantics, stop conditions and revalidation are the
+    engine's own.  A strategy bug (a move on a non-existent arc, a
+    vertex or token out of range, a token its sender lacks) raises
+    {!Ocd_engine.Engine.Strategy_error}. *)
 
 open Ocd_core
 
-type run = {
+type run = Ocd_engine.Engine.run = {
   strategy_name : string;
   seed : int;
   outcome : Ocd_engine.Engine.outcome;
   schedule : Schedule.t;
   metrics : Metrics.t;
-  dropped_moves : int;
-      (** proposals discarded by the condition (congestion losses) *)
   fresh_deliveries : int;
       (** distinct [(dst, token)] pairs delivered over the run *)
+  dropped_moves : int;
+      (** proposals discarded by the condition (congestion losses) *)
 }
 
 val run :
@@ -41,10 +49,8 @@ val run :
   seed:int ->
   Instance.t ->
   run
-(** [obs] (default {!Ocd_obs.disabled}): sim-time counters
-    [dynamic/rounds], [dynamic/moves], [dynamic/dropped_moves],
-    [dynamic/fresh_deliveries], [dynamic/quiet_steps] and the
-    [dynamic/moves_per_step] histogram; per-step and per-delivery
-    trace events (as in {!Ocd_engine.Engine.run}); wall-clock probe
-    phases [dynamic/<strategy>/decide] and [.../enforce].
+(** Defaults and instrumentation are {!Ocd_engine.Engine.loop}'s under
+    a lossy admission: [obs] feeds the [engine/*] counters (moves count
+    delivered moves only) plus [engine/dropped_moves], and the
+    [engine/<strategy>/{decide,apply,post}] probe phases.
     Instrumentation never perturbs the run. *)

@@ -19,7 +19,8 @@
 
     {!run} replays any overlay strategy under that shared-capacity
     constraint, dropping over-subscribed moves (congestion loss, as in
-    {!Ocd_dynamics.Dynamic_engine}); the resulting schedule is valid
+    {!Ocd_dynamics.Dynamic_engine}) — the engine's own round loop with
+    a physical-link admission; the resulting schedule is valid
     for the overlay instance, and the gap between overlay-only and
     underlay-aware makespans quantifies how much the independent-
     capacity assumption flatters a protocol. *)
@@ -62,14 +63,15 @@ val max_link_stress : t -> float
     through it) / physical capacity.  > 1 means the overlay's nominal
     capacities cannot all be honoured simultaneously. *)
 
-type run = {
+type run = Ocd_engine.Engine.run = {
   strategy_name : string;
+  seed : int;
   outcome : Ocd_engine.Engine.outcome;
   schedule : Schedule.t;
   metrics : Metrics.t;
-  dropped_moves : int;  (** moves lost to physical-link contention *)
   fresh_deliveries : int;
       (** distinct [(dst, token)] pairs delivered over the run *)
+  dropped_moves : int;  (** moves lost to physical-link contention *)
 }
 
 val run :
@@ -80,8 +82,14 @@ val run :
   seed:int ->
   Instance.t ->
   run
-(** The instance's graph must be the overlay passed to {!build}.
-    Move admission is first-come (arc order within the proposal):
-    a move is delivered iff every physical link on its path still has
-    spare capacity this step, in which case it consumes one unit on
-    each. *)
+(** {!Ocd_engine.Engine.loop} under a physical-link
+    {!Ocd_engine.Engine.Lossy} admission (defaults are the loop's lossy
+    ones).  Move admission is first-come (arc order within the
+    proposal): a move is delivered iff its overlay arc and every
+    physical link on its path still have spare capacity this step, in
+    which case it consumes one unit on each.
+    @raise Invalid_argument when the instance's graph does not have
+    exactly the arcs of the overlay passed to {!build}.
+    @raise Ocd_engine.Engine.Strategy_error on a strategy bug (a move
+    on a missing arc, a vertex or token out of range, a token its
+    sender lacks). *)

@@ -263,6 +263,27 @@ let test_dynamic_deterministic () =
   Alcotest.(check int) "same drops" r1.Dynamic_engine.dropped_moves
     r2.Dynamic_engine.dropped_moves
 
+let test_dynamic_rejects_out_of_range_src () =
+  (* Lossy admission drops congestion, not strategy bugs: a sender
+     outside the graph is reported like the static engine does. *)
+  let inst = single_file ~seed:55 ~n:8 ~tokens:2 in
+  List.iter
+    (fun src ->
+      let bad =
+        Ocd_engine.Strategy.stateless ~name:"bad-src" (fun _ ->
+            [ { Move.src; dst = 1; token = 0 } ])
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "src %d raises" src)
+        true
+        (try
+           ignore
+             (Dynamic_engine.run ~condition:Condition.static ~strategy:bad
+                ~seed:1 inst);
+           false
+         with Ocd_engine.Engine.Strategy_error _ -> true))
+    [ 8; -1 ]
+
 let prop_dynamic_schedules_statically_valid =
   QCheck.Test.make
     ~name:"dynamic schedules are always valid static §3.1 schedules" ~count:25
@@ -316,6 +337,8 @@ let () =
           Alcotest.test_case "degradation slows" `Quick test_dynamic_degradation_slows;
           Alcotest.test_case "churn completes" `Quick test_dynamic_churn_completes;
           Alcotest.test_case "deterministic" `Quick test_dynamic_deterministic;
+          Alcotest.test_case "rejects out-of-range src" `Quick
+            test_dynamic_rejects_out_of_range_src;
           qtest prop_dynamic_schedules_statically_valid;
         ] );
     ]

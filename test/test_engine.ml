@@ -119,6 +119,11 @@ let test_engine_rejects_bad_token () =
 let test_engine_rejects_negative_token () =
   expect_strategy_error "neg-token" (fun _ -> [ mv 0 1 (-1) ])
 
+let test_engine_rejects_out_of_range_src () =
+  (* [line] has 3 vertices: both senders are outside the graph. *)
+  expect_strategy_error "bad-src" (fun _ -> [ mv 3 1 0 ]);
+  expect_strategy_error "neg-src" (fun _ -> [ mv (-1) 1 0 ])
+
 let test_engine_rejects_duplicate_assignment () =
   (* capacity 2 admits both copies individually; the set semantics
      rejects the repeat. *)
@@ -346,6 +351,8 @@ let () =
           Alcotest.test_case "rejects bad token" `Quick test_engine_rejects_bad_token;
           Alcotest.test_case "rejects negative token" `Quick
             test_engine_rejects_negative_token;
+          Alcotest.test_case "rejects out-of-range src" `Quick
+            test_engine_rejects_out_of_range_src;
           Alcotest.test_case "rejects duplicate" `Quick
             test_engine_rejects_duplicate_assignment;
           Alcotest.test_case "rejects reverse arc" `Quick

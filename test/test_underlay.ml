@@ -111,6 +111,23 @@ let test_run_no_contention_equals_engine () =
   Alcotest.(check bool) "same schedule" true
     (Schedule.steps plain.Ocd_engine.Engine.schedule = Schedule.steps under.schedule)
 
+let test_run_rejects_foreign_overlay () =
+  (* Same arc count as the mapped overlay 0->1, but the arc is 1->0. *)
+  let physical = Digraph.of_edges ~vertex_count:2 [ (0, 1, 1) ] in
+  let overlay =
+    Digraph.of_arcs ~vertex_count:2 [ { Digraph.src = 0; dst = 1; capacity = 1 } ]
+  in
+  let t = build ~physical ~host_of:[| 0; 1 |] ~overlay in
+  let inst =
+    Instance.make ~graph:(Digraph.reverse overlay) ~token_count:1
+      ~have:[ (1, [ 0 ]) ] ~want:[ (0, [ 0 ]) ]
+  in
+  Alcotest.(check bool) "raises Invalid_argument" true
+    (try
+       ignore (run t ~strategy:Ocd_heuristics.Local_rarest.strategy ~seed:1 inst);
+       false
+     with Invalid_argument _ -> true)
+
 let test_map_onto_transit_stub () =
   let rng = Prng.create ~seed:9 in
   let overlay = Ocd_topology.Random_graph.erdos_renyi rng ~n:30 ~p:0.3 () in
@@ -152,6 +169,8 @@ let () =
           Alcotest.test_case "contention slows" `Quick test_run_contention_slows;
           Alcotest.test_case "no contention = engine" `Quick
             test_run_no_contention_equals_engine;
+          Alcotest.test_case "foreign overlay rejected" `Quick
+            test_run_rejects_foreign_overlay;
           Alcotest.test_case "transit-stub mapping" `Quick
             test_map_onto_transit_stub;
           qtest prop_underlay_runs_complete;
