@@ -1,14 +1,17 @@
 (** Per-node heartbeat/timeout failure detector.
 
-    Each protocol node owns one detector over the peers it depends on
-    (providers it pulls from, receivers it pushes to).  Suspicion is
-    purely local and unreliable in the classic sense: a peer is
-    {e suspected} once nothing has been heard from it for [timeout]
-    ticks.  There is no separate heartbeat message — the periodic
-    traffic every protocol already emits (announcements, state floods,
-    acks) doubles as the liveness signal, so the detector costs no
-    bandwidth; protocols call {!heard} from their message handler and
-    consult {!suspected} when choosing peers.
+    The async runtime ({!Runtime.run}) owns one detector per node
+    incarnation, with a timeout of four rounds, and calls {!heard} for
+    every message it delivers to the node, before the protocol's
+    handler runs.  Protocols never feed the detector: they consult it
+    through [ctx.suspected] when choosing peers (providers they pull
+    from, receivers they push to) and [ctx.watch] when adopting a new
+    peer.  Suspicion is purely local and unreliable in the classic
+    sense: a peer is {e suspected} once nothing has been heard from it
+    for [timeout] ticks.  There is no separate heartbeat message — the
+    periodic traffic every protocol already emits (announcements,
+    state floods, acks) doubles as the liveness signal, so the
+    detector costs no bandwidth.
 
     Suspicion is self-healing: any later message from the peer (e.g.
     the re-announce a restarted node sends from [on_start]) clears it.
@@ -33,9 +36,10 @@ val create :
 (** [create ~now ~timeout ~n ()] tracks peers [0 .. n-1]; [now] is the
     owner's clock (typically [ctx.now]).  [on_suspect] is an
     observability hook fired the first time each silence episode of a
-    peer is observed by {!suspected} (protocols wire it to
-    [ctx.note_suspicion]); it is re-armed by {!heard} and never
-    changes what {!suspected} returns.
+    peer is observed by {!suspected} (the runtime counts it as a
+    suspicion, records it in the causal log and checks the monitor's
+    false-suspicion rule); it is re-armed by {!heard} and never changes
+    what {!suspected} returns.
     @raise Invalid_argument unless [timeout > 0]. *)
 
 val heard : t -> int -> unit

@@ -37,10 +37,6 @@ let protocol () =
     let jobs : (int * int, job) Hashtbl.t = Hashtbl.create 16 in
     let job_order : job list ref = ref [] in
     let cursor = ref 0 in
-    (* Any traffic from a neighbour proves it is alive; the detector
-       only ranks refetch candidates, it never blocks planned sends. *)
-    let detector = Detector.create ~on_suspect:(fun _ -> ctx.note_suspicion ())
-        ~now:ctx.now ~timeout:(4 * ctx.pace) ~n () in
     (* token -> round the plan delivers it to us; filled from the plan. *)
     let expected : (int, int) Hashtbl.t = Hashtbl.create 8 in
     let expected_filled = ref false in
@@ -155,7 +151,7 @@ let protocol () =
                     let trusted = ref [] in
                     Digraph.View.iter
                       (fun u _ ->
-                        if not (Detector.suspected detector u) then
+                        if not (ctx.suspected u) then
                           trusted := u :: !trusted)
                       preds;
                     let pool =
@@ -185,7 +181,6 @@ let protocol () =
       end
     in
     let on_message ~src msg =
-      Detector.heard detector src;
       match msg with
       | Message.State s ->
           Bitset.union_into known s;

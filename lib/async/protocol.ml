@@ -15,7 +15,8 @@ type ctx = {
   have_copy : unit -> Bitset.t;
   receive : src:int -> int -> bool;
   note_retransmission : unit -> unit;
-  note_suspicion : unit -> unit;
+  suspected : int -> bool;
+  watch : int -> unit;
   give_up : unit -> unit;
   finished : unit -> bool;
   monitor : Monitor.t;

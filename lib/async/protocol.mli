@@ -2,10 +2,10 @@
 
     A protocol is a name plus a node factory: [init] is called once per
     vertex with that vertex's capabilities (its private PRNG stream,
-    clock access, timers, the transport, and the runtime's delivery
-    hook) and returns the node's event handlers, closing over whatever
-    mutable per-node state the protocol keeps (belief tables, pending
-    requests, retry counters).
+    clock access, timers, the transport, the runtime's delivery hook
+    and its failure detector) and returns the node's event handlers,
+    closing over whatever mutable per-node state the protocol keeps
+    (belief tables, pending requests, retry counters).
 
     Nodes are epistemically local by construction: a node can observe
     only its own sets, its incident arcs (via [ctx.instance]'s graph)
@@ -48,11 +48,18 @@ type ctx = {
           changed (first delivery, or re-delivery of a token lost in a
           crash) *)
   note_retransmission : unit -> unit;  (** metric hook *)
-  note_suspicion : unit -> unit;
-      (** metric hook: the node's failure detector entered a new
-          suspicion episode for some peer (see
-          {!Detector.create}'s [on_suspect]).  Feeds the runtime's
-          [suspicions] count and the [async/suspicions] metric. *)
+  suspected : int -> bool;
+      (** the incarnation's failure detector ({!Detector.suspected}):
+          has the peer been silent for more than four rounds?  The
+          runtime owns the detector — one per incarnation, born with
+          it — and records every received message as a sign of life
+          before the handler runs, so protocols never feed it.  The
+          first observation of each silence episode counts toward the
+          runtime's [suspicions] and the [async/suspicions] metric. *)
+  watch : int -> unit;
+      (** {!Detector.watch} on the incarnation's detector: start the
+          silence clock of a newly adopted, never-heard peer (e.g. a
+          reported DHT successor) *)
   give_up : unit -> unit;
       (** metric hook: the node permanently abandoned a transfer it was
           responsible for (e.g. a planned job out of retry attempts).

@@ -24,18 +24,16 @@ let protocol () =
     (* (dst, token) pairs already pushed once, for the retransmission
        counter. *)
     let pushed : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-    (* Out-neighbours announce (and ack) every round, so silence beyond
-       four rounds marks a peer down: capacity is better spent on live
-       neighbours.  A restarted peer's first announce both clears the
-       suspicion and resets our belief to its post-crash truth, which
-       re-triggers pushes for anything it lost. *)
-    let detector = Detector.create ~on_suspect:(fun _ -> ctx.note_suspicion ())
-        ~now:ctx.now ~timeout:(4 * ctx.pace) ~n () in
+    (* Out-neighbours announce (and ack) every round, so a suspected
+       peer is down: capacity is better spent on live neighbours.  A
+       restarted peer's first announce both clears the suspicion and
+       resets our belief to its post-crash truth, which re-triggers
+       pushes for anything it lost. *)
     let push () =
       if not (ctx.finished ()) then
         Digraph.View.iter
           (fun dst cap ->
-            if not (Detector.suspected detector dst) then begin
+            if not (ctx.suspected dst) then begin
             let target = believed dst in
             let useful = ctx.have_copy () in
             Bitset.diff_into useful target;
@@ -63,7 +61,6 @@ let protocol () =
       end
     in
     let on_message ~src msg =
-      Detector.heard detector src;
       match msg with
       | Message.Announce s -> belief.(src) <- Some s
       | Message.Data token ->

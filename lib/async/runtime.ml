@@ -138,7 +138,10 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
         min visible_from.(move.dst).(move.token) (!round + 1)
     end
   in
-  let handlers : Protocol.handlers option array = Array.make n None in
+  (* A live incarnation's handlers and its failure detector. *)
+  let handlers : (Protocol.handlers * Detector.t) option array =
+    Array.make n None
+  in
   (* Crash–recovery state: incarnation epochs (bumped per crash so the
      transport can kill in-flight messages), current up/down status,
      and each live incarnation's kill switch for its pending timers. *)
@@ -149,7 +152,9 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
   let on_message_label = protocol.Protocol.name ^ "/on_message" in
   let deliver ~src ~dst msg =
     match handlers.(dst) with
-    | Some h -> (
+    | Some (h, detector) -> (
+        (* every delivered message is a sign of life *)
+        Detector.heard detector src;
         match probe with
         | None -> h.Protocol.on_message ~src msg
         | Some p ->
@@ -258,6 +263,23 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
       end
       else Sim.after sim d (fun () -> if !flag then f ())
     in
+    (* The protocols' periodic traffic (announces, state floods, acks)
+       doubles as heartbeats: every peer a node depends on talks at
+       least once per round, so four silent rounds mean it is down, or
+       unreachable, which warrants re-targeting just the same. *)
+    let detector =
+      Detector.create
+        ~on_suspect:(fun _ ->
+          incr suspicions;
+          if con then
+            Ocd_obs.Causal.record_suspicion causal ~tick:(Sim.now sim) ~node:v;
+          if Monitor.enabled monitor && clean_lockstep then
+            Monitor.record monitor ~tick:(Sim.now sim) ~node:v
+              ~rule:"false-suspicion"
+              ~detail:"detector raised a suspicion under clean lockstep")
+        ~now:(fun () -> Sim.now sim)
+        ~timeout:(4 * pace) ~n ()
+    in
     let ctx =
       {
         Protocol.instance = inst;
@@ -276,16 +298,8 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
           (fun () ->
             incr retransmissions;
             if con then Ocd_obs.Causal.note_retry causal ~node:v);
-        note_suspicion =
-          (fun () ->
-            incr suspicions;
-            if con then
-              Ocd_obs.Causal.record_suspicion causal ~tick:(Sim.now sim)
-                ~node:v;
-            if Monitor.enabled monitor && clean_lockstep then
-              Monitor.record monitor ~tick:(Sim.now sim) ~node:v
-                ~rule:"false-suspicion"
-                ~detail:"detector raised a suspicion under clean lockstep");
+        suspected = Detector.suspected detector;
+        watch = Detector.watch detector;
         give_up = (fun () -> incr failed_jobs);
         finished;
         monitor;
@@ -293,7 +307,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
       }
     in
     let h = protocol.Protocol.init ctx in
-    handlers.(v) <- Some h;
+    handlers.(v) <- Some (h, detector);
     if con then
       boot_ev.(v) <-
         Ocd_obs.Causal.record_boot causal ~tick:(Sim.now sim) ~node:v ~epoch:e;
@@ -380,7 +394,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
   done;
   for v = 0 to n - 1 do
     match handlers.(v) with
-    | Some h ->
+    | Some (h, _) ->
         if con then
           Sim.at sim 0 (fun () ->
               Ocd_obs.Causal.set_cur causal boot_ev.(v);

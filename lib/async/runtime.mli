@@ -69,9 +69,10 @@ type run = {
   failed_jobs : int;
       (** transfers protocols permanently abandoned (out of retries) *)
   suspicions : int;
-      (** failure-detector suspicion episodes across all nodes (see
-          {!Detector.create}'s [on_suspect]) — nonzero under crash
-          faults or heavy loss, 0 in a healthy lockstep run *)
+      (** failure-detector suspicion episodes across all nodes (the
+          runtime's per-incarnation detectors, see
+          [Protocol.ctx.suspected]) — nonzero under crash faults or
+          heavy loss, 0 in a healthy lockstep run *)
   adv_duplicated : int;  (** messages the adversary delivered twice *)
   adv_reordered : int;  (** messages the adversary held back *)
   adv_corrupted : int;

@@ -1,11 +1,12 @@
 (** Rarest-first dissemination without the omniscient oracle.
 
-    The fourth async protocol.  Structurally it is {!
-    Ocd_async.Local_rarest} — pull-based, per-round in-arc budgets,
-    exponential backoff, detector-driven re-targeting — but where
-    local-rarest reads provider knowledge out of neighbour [Announce]s
-    (and its rarity signal is neighbourhood-local), dht-rarest learns
-    who holds what from the Chord overlay:
+    The fourth async protocol.  It runs on {!Ocd_async.Local_rarest}'s
+    pull core — the per-round announce, per-round in-arc budgets,
+    exponential backoff, detector-driven re-targeting — and keeps only
+    what is DHT-specific: where local-rarest reads provider knowledge
+    out of neighbour [Announce]s (and its rarity signal is
+    neighbourhood-local), dht-rarest learns who holds what from the
+    Chord overlay:
 
     - every node advertises each token it holds into the DHT (a
       [(token, holder)] record stored at the key's owner, replicated
@@ -14,8 +15,8 @@
     - a node with missing tokens periodically looks up their provider
       sets (rate-limited, refreshed while stale), ranks the missing
       tokens by {e global} provider count — true rarest-first — and
-      requests them from in-neighbour providers under the usual
-      budget;
+      requests them under the usual budget from in-neighbours that
+      are listed providers or announced holders;
     - data still flows only along overlay arcs, so emitted schedules
       pass [Validate.check_successful]; only DHT control rides the
       underlay.
