@@ -38,9 +38,13 @@ let cross_traffic ~seed ~prob ~severity =
 
 (* Two-state Markov chain with memoised per-(key, step) states.  State
    at step 0 is "up"; transitions draw keyed coins so every query
-   order yields the same trajectory. *)
+   order yields the same trajectory.  A condition may be shared by runs
+   on several Pool domains, so each query holds [lock] while it reads
+   and fills the memo (a pure cache: the lock never changes an
+   answer). *)
 let markov_chain ~seed ~down_prob ~up_prob =
   let memo : (int * int * int, bool) Hashtbl.t = Hashtbl.create 256 in
+  let lock = Mutex.create () in
   let rec up ~step ~a ~b =
     if step <= 0 then true
     else
@@ -53,7 +57,7 @@ let markov_chain ~seed ~down_prob ~up_prob =
         Hashtbl.replace memo (step, a, b) state;
         state
   in
-  up
+  fun ~step ~a ~b -> Mutex.protect lock (fun () -> up ~step ~a ~b)
 
 let link_flaps ~seed ~down_prob ~up_prob =
   if down_prob < 0.0 || down_prob > 1.0 || up_prob < 0.0 || up_prob > 1.0 then
