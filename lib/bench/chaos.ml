@@ -150,68 +150,75 @@ type trial_setup = {
   t_run_seed : int;
   t_protocol : Ocd_async.Protocol.t;
   t_cell : cell;
+  t_flap_seed : int option;
+  t_churn_seed : int option;
+  t_part_seed : int;
 }
 
-let trial_setup ~seed grid ~cell_label ~protocol ~trial =
+(* The one derivation of grid point (cell index [ci], protocol [name],
+   [trial]), given the campaign instance: every seed is a function of
+   the base seed and the grid coordinates only, so any [jobs] sees the
+   same trials, and the campaign, the failure extraction and a
+   standalone replay all run the very same one. *)
+let trials ~seed (grid : grid) =
+  let inst = Shrink.instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
+  let sources = Shrink.sources_of inst ~n:grid.n in
   let cells = Array.of_list grid.cells in
-  let rec find i =
-    if i >= Array.length cells then None
-    else if cells.(i).label = cell_label then Some i
-    else find (i + 1)
+  fun ci name trial ->
+    let c = cells.(ci) in
+    let cell_seed = seed + (7919 * ci) in
+    let flap_seed = if c.flaps then Some (cell_seed + flap_off) else None in
+    let churn_seed = if c.churn then Some (cell_seed + churn_off) else None in
+    {
+      t_instance = inst;
+      t_profile = { Net.default with Net.loss = c.loss };
+      t_condition = Shrink.condition_of ~flap_seed ~churn_seed ~sources;
+      t_faults = cell_faults c ~cell_seed;
+      t_run_seed = seed + (31 * trial) + 1;
+      t_protocol = Ocd_dht.Registry.find_exn name;
+      t_cell = c;
+      t_flap_seed = flap_seed;
+      t_churn_seed = churn_seed;
+      t_part_seed = cell_seed + part_off;
+    }
+
+(* Task grid: cells outer, protocols (registry order) inner, trials
+   innermost. *)
+let tasks (grid : grid) =
+  List.concat_map
+    (fun ci ->
+      List.concat_map
+        (fun name ->
+          List.map (fun trial -> (ci, name, trial)) (Order.range grid.trials))
+        Ocd_dht.Registry.names)
+    (Order.range (List.length grid.cells))
+
+let trial_setup ~seed grid ~cell_label ~protocol ~trial =
+  let rec find i = function
+    | [] -> None
+    | c :: rest -> if c.label = cell_label then Some i else find (i + 1) rest
   in
-  match find 0 with
+  match find 0 grid.cells with
   | None ->
       Error
         (Printf.sprintf "unknown cell %S (grid has: %s)" cell_label
            (String.concat ", "
               (List.map (fun c -> c.label) grid.cells)))
-  | Some ci -> (
-      match Ocd_dht.Registry.find protocol with
-      | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
-      | Some p ->
-          if trial < 0 || trial >= grid.trials then
-            Error
-              (Printf.sprintf "trial %d out of range (grid has %d)" trial
-                 grid.trials)
-          else
-            let inst = Shrink.instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
-            let sources = Shrink.sources_of inst ~n:grid.n in
-            let c = cells.(ci) in
-            let cell_seed = seed + (7919 * ci) in
-            Ok
-              {
-                t_instance = inst;
-                t_profile = { Net.default with Net.loss = c.loss };
-                t_condition =
-                  Shrink.condition_of
-                    ~flap_seed:
-                      (if c.flaps then Some (cell_seed + flap_off) else None)
-                    ~churn_seed:
-                      (if c.churn then Some (cell_seed + churn_off) else None)
-                    ~sources;
-                t_faults = cell_faults c ~cell_seed;
-                t_run_seed = seed + (31 * trial) + 1;
-                t_protocol = p;
-                t_cell = c;
-              })
+  | Some ci ->
+      if Ocd_dht.Registry.find protocol = None then
+        Error (Printf.sprintf "unknown protocol %S" protocol)
+      else if trial < 0 || trial >= grid.trials then
+        Error
+          (Printf.sprintf "trial %d out of range (grid has %d)" trial
+             grid.trials)
+      else
+        Ok (trials ~seed grid ci protocol trial)
 
 let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
-  let inst = Shrink.instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
-  let sources = Shrink.sources_of inst ~n:grid.n in
+  let make = trials ~seed grid in
   let cells = Array.of_list grid.cells in
   let protocols = Ocd_dht.Registry.names in
-  (* Task grid: cells outer, protocols inner, trials innermost.  Every
-     seed below is a function of the base seed and grid coordinates
-     only, so the observation list is identical for any [jobs]. *)
-  let tasks =
-    List.concat_map
-      (fun ci ->
-        List.concat_map
-          (fun name ->
-            List.map (fun trial -> (ci, name, trial)) (Order.range grid.trials))
-          protocols)
-      (Order.range (Array.length cells))
-  in
+  let tasks = tasks grid in
   let probe = Ocd_obs.probe obs in
   (* Each task runs its Runtime under a child scope (fresh registry and
      memory sink), so worker domains never share mutable observability
@@ -220,41 +227,22 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
   let results =
     Pool.map ~obs ~jobs
       (fun (ci, name, trial) ->
-        let c = cells.(ci) in
-        let cell_seed = seed + (7919 * ci) in
+        let t = make ci name trial in
         let task_obs = Ocd_obs.child obs in
-        let profile = { Net.default with Net.loss = c.loss } in
-        let condition =
-          Shrink.condition_of
-            ~flap_seed:(if c.flaps then Some (cell_seed + flap_off) else None)
-            ~churn_seed:(if c.churn then Some (cell_seed + churn_off) else None)
-            ~sources
-        in
-        let faults = cell_faults c ~cell_seed in
-        let protocol = Ocd_dht.Registry.find_exn name in
         let monitor = Monitor.create () in
         let r =
           let go () =
-            Runtime.run ~obs:task_obs ~profile ~condition ~faults ~monitor
-              ~protocol
-              ~seed:(seed + (31 * trial) + 1)
-              inst
+            Runtime.run ~obs:task_obs ~profile:t.t_profile
+              ~condition:t.t_condition ~faults:t.t_faults ~monitor
+              ~protocol:t.t_protocol ~seed:t.t_run_seed t.t_instance
           in
           (* Per-cell wall time: call count per label is
              trials × protocols, so the profile row gives trials/sec. *)
           match probe with
           | None -> go ()
-          | Some p -> Ocd_obs.Probe.time p ("chaos/" ^ c.label) go
+          | Some p -> Ocd_obs.Probe.time p ("chaos/" ^ t.t_cell.label) go
         in
         let completed = r.Runtime.outcome = Runtime.Completed in
-        let valid =
-          let checker =
-            if completed then Validate.check_successful else Validate.check
-          in
-          match checker inst r.Runtime.schedule with
-          | Ok () -> true
-          | Error _ -> false
-        in
         ( {
             o_ticks = r.Runtime.completion_ticks;
             o_retrans = r.Runtime.retransmissions;
@@ -268,7 +256,7 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
                 (fun (d : Diagnosis.t) ->
                   Diagnosis.verdict_name d.Diagnosis.verdict)
                 r.Runtime.diagnosis;
-            o_valid = valid;
+            o_valid = Shrink.valid_schedule t.t_instance r;
             o_violations = r.Runtime.violations;
             o_undiagnosed =
               (not completed)
@@ -347,44 +335,32 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
    with.  So a case this function returns is failing *by that
    evaluator's own judgement*, and Shrink.shrink cannot reject it. *)
 let failures ?(jobs = 1) ~seed grid =
-  let inst = Shrink.instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
-  let round_limit = Runtime.default_round_limit inst in
-  let cells = Array.of_list grid.cells in
-  let tasks =
-    List.concat_map
-      (fun ci ->
-        List.concat_map
-          (fun name ->
-            List.map (fun trial -> (ci, name, trial)) (Order.range grid.trials))
-          Ocd_dht.Registry.names)
-      (Order.range (Array.length cells))
-  in
+  let make = trials ~seed grid in
   let results =
     Pool.map ~jobs
       (fun (ci, name, trial) ->
-        let c = cells.(ci) in
-        let cell_seed = seed + (7919 * ci) in
-        let faults = cell_faults c ~cell_seed in
+        let t = make ci name trial in
+        let round_limit = Runtime.default_round_limit t.t_instance in
         let case =
           {
             Shrink.protocol = name;
             instance_seed = seed;
             n = grid.n;
             tokens = grid.tokens;
-            loss = c.loss;
-            flap_seed = (if c.flaps then Some (cell_seed + flap_off) else None);
-            churn_seed = (if c.churn then Some (cell_seed + churn_off) else None);
-            run_seed = seed + (31 * trial) + 1;
+            loss = t.t_profile.Net.loss;
+            flap_seed = t.t_flap_seed;
+            churn_seed = t.t_churn_seed;
+            run_seed = t.t_run_seed;
             round_limit;
-            durability = Faults.durability faults;
-            part_seed = cell_seed + part_off;
+            durability = Faults.durability t.t_faults;
+            part_seed = t.t_part_seed;
             groups = 2;
-            downtime = Faults.downtime faults ~n:grid.n ~horizon:round_limit;
-            windows = Faults.windows faults ~horizon:round_limit;
+            downtime = Faults.downtime t.t_faults ~n:grid.n ~horizon:round_limit;
+            windows = Faults.windows t.t_faults ~horizon:round_limit;
           }
         in
         (case, Shrink.run_case case))
-      tasks
+      (tasks grid)
   in
   List.filter_map
     (fun (case, outcome) -> Option.map (fun tag -> (case, tag)) outcome)

@@ -78,12 +78,18 @@ type trial_setup = {
   t_run_seed : int;
   t_protocol : Ocd_async.Protocol.t;
   t_cell : cell;
+  t_flap_seed : int option;  (** link-flap seed, if the cell flaps *)
+  t_churn_seed : int option;  (** churn seed, if the cell churns *)
+  t_part_seed : int;  (** partition seed (used iff the cell splits) *)
 }
 (** Everything needed to replay one (cell, protocol, trial) grid point
     outside the campaign — same instance, profile, condition, fault
-    plan and run seed the campaign task derived, so a standalone
-    {!Ocd_async.Runtime.run} (e.g. under a causal log, for
-    [ocd explain]) reproduces the campaign trial tick-for-tick. *)
+    plan and run seed the campaign task derived (the campaign, the
+    failure extraction and {!trial_setup} build their trials through
+    one function), so a standalone {!Ocd_async.Runtime.run} (e.g.
+    under a causal log, for [ocd explain]) reproduces the campaign
+    trial tick-for-tick.  The process seeds let {!failures} re-express
+    the trial as a {!Shrink.case}. *)
 
 val trial_setup :
   seed:int ->

@@ -58,6 +58,13 @@ let faults_of c =
     (Faults.of_downtime ~durability:c.durability c.downtime)
     (Faults.of_windows ~seed:c.part_seed ~groups:c.groups c.windows)
 
+let valid_schedule inst (r : Runtime.run) =
+  let check =
+    if r.Runtime.outcome = Runtime.Completed then Validate.check_successful
+    else Validate.check
+  in
+  Result.is_ok (check inst r.Runtime.schedule)
+
 let run_case c =
   match Ocd_dht.Registry.find c.protocol with
   | None -> Some "unknown-protocol"
@@ -78,15 +85,7 @@ let run_case c =
               ~round_limit:c.round_limit ~protocol ~seed:c.run_seed inst
           in
           let completed = r.Runtime.outcome = Runtime.Completed in
-          let valid =
-            let checker =
-              if completed then Validate.check_successful else Validate.check
-            in
-            match checker inst r.Runtime.schedule with
-            | Ok () -> true
-            | Error _ -> false
-          in
-          if not valid then Some "invalid-schedule"
+          if not (valid_schedule inst r) then Some "invalid-schedule"
           else if Monitor.count monitor > 0 then
             Some
               ("monitor:"

@@ -56,6 +56,10 @@ val condition_of :
     churn leave 0.02/return 0.3, sources protected), shared with
     Chaos for the same reason as {!instance_of}. *)
 
+val valid_schedule : Instance.t -> Ocd_async.Runtime.run -> bool
+(** The campaign's schedule check: {!Validate.check_successful} for a
+    completed run, {!Validate.check} otherwise. *)
+
 val run_case : case -> string option
 (** Replay the case under a fresh monitor and classify: [None] when
     the trial completes with a valid schedule and no violations,
