@@ -204,6 +204,18 @@ let strategy_arg =
            local, bandwidth, global.  Baselines: tree-push, split-forest-4, \
            fast-replica, serial-steiner.")
 
+(* Every lookup of a strategy by name; an unknown one exits 2. *)
+let find_strategy name =
+  match
+    List.find_opt
+      (fun s -> s.Ocd_engine.Strategy.name = name)
+      (all_strategies ())
+  with
+  | Some s -> s
+  | None ->
+    Printf.eprintf "unknown strategy %S\n" name;
+    exit 2
+
 let run_cmd =
   let run seed topology n tokens threshold files multi_sender strategy
       trace_out metrics_out =
@@ -220,16 +232,7 @@ let run_cmd =
     let chosen =
       match strategy with
       | None -> all_strategies ()
-      | Some name -> (
-        match
-          List.find_opt
-            (fun s -> s.Ocd_engine.Strategy.name = name)
-            (all_strategies ())
-        with
-        | Some s -> [ s ]
-        | None ->
-          Printf.eprintf "unknown strategy %S\n" name;
-          exit 2)
+      | Some name -> [ find_strategy name ]
     in
     with_observed ~trace_out ~metrics_out (fun obs ->
         Printf.printf "%-16s %10s %10s %10s %12s\n" "strategy" "makespan"
@@ -558,32 +561,114 @@ let export_cmd =
         (const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg
        $ threshold_arg $ strategy_arg $ output_arg))
 
+(* ---------------------- shared async arguments -------------------- *)
+
+let loss_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "loss" ] ~docv:"P" ~doc:"Override per-message loss probability.")
+
+(* Two decimals, unless that would misreport the value (e.g. 0.003). *)
+let prob_cell p =
+  let s = Printf.sprintf "%.2f" p in
+  if float_of_string s = p then s else Printf.sprintf "%g" p
+
+(* The network profile and its --loss/--pace overrides, resolved in the
+   command body (not at parse time) so a mode that ignores the profile
+   never rejects it. *)
+type profile_choice = {
+  profile_name : string;
+  loss : float option;
+  pace : int option;
+}
+
+let profile_term =
+  let profile_arg =
+    Arg.(
+      value & opt string "default"
+      & info [ "profile" ] ~docv:"PROFILE"
+          ~doc:
+            "Network profile: default (latency, jitter, pacing) or lockstep \
+             (the synchronous-equivalent degenerate profile).")
+  in
+  let pace_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "pace" ] ~docv:"TICKS" ~doc:"Override ticks per round.")
+  in
+  Term.(
+    const (fun profile_name loss pace -> { profile_name; loss; pace })
+    $ profile_arg $ loss_arg $ pace_arg)
+
+let resolve_profile c =
+  let base =
+    match c.profile_name with
+    | "default" -> Ocd_async.Net.default
+    | "lockstep" -> Ocd_async.Net.lockstep
+    | other ->
+      Printf.eprintf "unknown profile %S (default, lockstep)\n" other;
+      exit 2
+  in
+  {
+    base with
+    Ocd_async.Net.loss = Option.value c.loss ~default:base.Ocd_async.Net.loss;
+    pace = Option.value c.pace ~default:base.Ocd_async.Net.pace;
+  }
+
+let protocol_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "protocol" ] ~docv:"NAME"
+        ~doc:
+          ("Async protocol to run (default: all; explain chaos-cell: \
+            async-local).  Available: "
+          ^ String.concat ", " Ocd_dht.Registry.names
+          ^ "."))
+
+(* --protocol as a run list: all protocols when absent. *)
+let resolve_protocols = function
+  | None -> Ocd_dht.Registry.names
+  | Some name ->
+    if List.mem name Ocd_dht.Registry.names then [ name ]
+    else begin
+      Printf.eprintf "%s\n"
+        (Ocd_async.Registry.unknown ~available:Ocd_dht.Registry.names name);
+      exit 2
+    end
+
+let grid_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "grid" ] ~docv:"GRID"
+        ~doc:
+          "Chaos campaign grid: smoke (tiny, for CI), default, or failing (a \
+           known-failing partition cell for exercising --shrink).  Absent: \
+           default for chaos, smoke for explain chaos-cell.")
+
+let resolve_grid ~default name =
+  match Option.value name ~default with
+  | "smoke" -> Ocd_bench.Chaos.smoke_grid
+  | "default" -> Ocd_bench.Chaos.default_grid
+  | "failing" -> Ocd_bench.Chaos.failing_grid
+  | other ->
+    Printf.eprintf "unknown grid %S (expected smoke, default or failing)\n"
+      other;
+    exit 2
+
 (* ---------------------- ocd async ---------------------------------- *)
 
 let async_cmd =
-  let run seed topology n tokens threshold protocol_name profile_name loss
-      pace condition_name monitor_on jobs trace_out metrics_out =
+  let run seed topology n tokens threshold protocol_name profile_choice
+      condition_name monitor_on jobs trace_out metrics_out =
     let inst =
       build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
         ~multi_sender:false
     in
-    let base_profile =
-      match profile_name with
-      | "default" -> Ocd_async.Net.default
-      | "lockstep" -> Ocd_async.Net.lockstep
-      | other ->
-        Printf.eprintf "unknown profile %S (default, lockstep)\n" other;
-        exit 2
-    in
-    let profile =
-      {
-        base_profile with
-        Ocd_async.Net.loss =
-          (match loss with Some l -> l | None -> base_profile.Ocd_async.Net.loss);
-        pace =
-          (match pace with Some p -> p | None -> base_profile.Ocd_async.Net.pace);
-      }
-    in
+    let profile = resolve_profile profile_choice in
     let condition =
       match condition_name with
       | "static" -> Ocd_dynamics.Condition.static
@@ -602,21 +687,13 @@ let async_cmd =
           other;
         exit 2
     in
-    let chosen =
-      match protocol_name with
-      | None -> Ocd_dht.Registry.names
-      | Some name ->
-        if List.mem name Ocd_dht.Registry.names then [ name ]
-        else begin
-          Printf.eprintf "%s\n"
-            (Ocd_async.Registry.unknown ~available:Ocd_dht.Registry.names name);
-          exit 2
-        end
-    in
-    Printf.printf "instance: n=%d m=%d deficit=%d; profile=%s pace=%d loss=%.2f condition=%s\n\n"
+    let chosen = resolve_protocols protocol_name in
+    Printf.printf "instance: n=%d m=%d deficit=%d; profile=%s pace=%d loss=%s condition=%s\n\n"
       (Instance.vertex_count inst)
-      inst.Instance.token_count (Instance.total_deficit inst) profile_name
-      profile.Ocd_async.Net.pace profile.Ocd_async.Net.loss condition_name;
+      inst.Instance.token_count (Instance.total_deficit inst)
+      profile_choice.profile_name profile.Ocd_async.Net.pace
+      (prob_cell profile.Ocd_async.Net.loss)
+      condition_name;
     with_observed ~trace_out ~metrics_out (fun obs ->
         let runs =
           Pool.map ~obs ~jobs
@@ -680,35 +757,6 @@ let async_cmd =
                 (Ocd_async.Monitor.violations monitor))
             runs)
   in
-  let protocol_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"NAME"
-          ~doc:
-            "Protocol to run (default: all).  Available: async-local, \
-             async-push, flood-plan, dht-rarest.")
-  in
-  let profile_arg =
-    Arg.(
-      value & opt string "default"
-      & info [ "profile" ] ~docv:"PROFILE"
-          ~doc:
-            "Network profile: default (latency, jitter, pacing) or lockstep \
-             (the synchronous-equivalent degenerate profile).")
-  in
-  let loss_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "loss" ] ~docv:"P" ~doc:"Override per-message loss probability.")
-  in
-  let pace_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "pace" ] ~docv:"TICKS" ~doc:"Override ticks per round.")
-  in
   let condition_arg =
     Arg.(
       value & opt string "static"
@@ -734,25 +782,15 @@ let async_cmd =
     Term.(
       term_result
         (const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg
-       $ threshold_arg $ protocol_arg $ profile_arg $ loss_arg $ pace_arg
-       $ condition_arg $ monitor_arg $ jobs_arg $ trace_out_arg
-       $ metrics_out_arg))
+       $ threshold_arg $ protocol_arg $ profile_term $ condition_arg
+       $ monitor_arg $ jobs_arg $ trace_out_arg $ metrics_out_arg))
 
 (* ---------------------- ocd chaos ---------------------------------- *)
 
 let chaos_cmd =
   let run seed grid_name n tokens trials shrink shrink_out jobs trace_out
       metrics_out =
-    let base =
-      match grid_name with
-      | "smoke" -> Ocd_bench.Chaos.smoke_grid
-      | "default" -> Ocd_bench.Chaos.default_grid
-      | "failing" -> Ocd_bench.Chaos.failing_grid
-      | other ->
-        Printf.eprintf "unknown grid %S (expected smoke, default or failing)\n"
-          other;
-        exit 2
-    in
+    let base = resolve_grid ~default:"default" grid_name in
     let grid =
       {
         base with
@@ -795,14 +833,6 @@ let chaos_cmd =
             close_out oc;
             Printf.printf "wrote %s\n" path))
         end)
-  in
-  let grid_arg =
-    Arg.(
-      value & opt string "default"
-      & info [ "grid" ] ~docv:"GRID"
-          ~doc:
-            "Campaign grid: smoke (tiny, for CI), default, or failing (a \
-             known-failing partition cell for exercising --shrink).")
   in
   let shrink_arg =
     Arg.(
@@ -887,11 +917,11 @@ let dht_cmd =
        measured against; both under the same profile/faults/seed. *)
     let chosen = [ "async-local"; "dht-rarest" ] in
     Printf.printf
-      "instance: n=%d m=%d deficit=%d; loss=%.2f crash=%.2f churn=%b\n\n"
+      "instance: n=%d m=%d deficit=%d; loss=%s crash=%s churn=%b\n\n"
       (Instance.vertex_count inst)
       inst.Instance.token_count (Instance.total_deficit inst)
-      profile.Ocd_async.Net.loss
-      (match crash with Some p -> p | None -> 0.0)
+      (prob_cell profile.Ocd_async.Net.loss)
+      (prob_cell (Option.value crash ~default:0.0))
       churn;
     with_observed ~trace_out ~metrics_out (fun obs ->
         let runs =
@@ -963,12 +993,6 @@ let dht_cmd =
             end)
           (List.combine chosen runs))
   in
-  let loss_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "loss" ] ~docv:"P" ~doc:"Override per-message loss probability.")
-  in
   let crash_arg =
     Arg.(
       value
@@ -1004,20 +1028,7 @@ let trace_cmd =
       build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
         ~multi_sender:false
     in
-    let strategy =
-      match strategy_name with
-      | None -> Ocd_heuristics.Local_rarest.strategy
-      | Some name -> (
-        match
-          List.find_opt
-            (fun s -> s.Ocd_engine.Strategy.name = name)
-            (all_strategies ())
-        with
-        | Some s -> s
-        | None ->
-          Printf.eprintf "unknown strategy %S\n" name;
-          exit 2)
-    in
+    let strategy = find_strategy (Option.value strategy_name ~default:"local") in
     let run =
       Ocd_engine.Engine.completed_exn
         (Ocd_engine.Engine.run ~strategy ~seed:(seed + 1) inst)
@@ -1149,7 +1160,7 @@ let explain_cmd =
       Ok ()
   in
   let run mode seed topology n tokens threshold protocol_name strategy_name
-      profile_name loss pace grid_name cell_label trial jobs path_out =
+      profile_choice grid_name cell_label trial jobs path_out =
     match mode with
     | "run" ->
       let inst =
@@ -1157,16 +1168,7 @@ let explain_cmd =
           ~multi_sender:false
       in
       let strategy =
-        let name = Option.value strategy_name ~default:"local" in
-        match
-          List.find_opt
-            (fun s -> s.Ocd_engine.Strategy.name = name)
-            (all_strategies ())
-        with
-        | Some s -> s
-        | None ->
-          Printf.eprintf "unknown strategy %S\n" name;
-          exit 2
+        find_strategy (Option.value strategy_name ~default:"local")
       in
       let r = Ocd_engine.Engine.run ~strategy ~seed:(seed + 1) inst in
       (match r.Ocd_engine.Engine.outcome with
@@ -1192,44 +1194,14 @@ let explain_cmd =
         build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
           ~multi_sender:false
       in
-      let base_profile =
-        match profile_name with
-        | "default" -> Ocd_async.Net.default
-        | "lockstep" -> Ocd_async.Net.lockstep
-        | other ->
-          Printf.eprintf "unknown profile %S (default, lockstep)\n" other;
-          exit 2
-      in
-      let profile =
-        {
-          base_profile with
-          Ocd_async.Net.loss =
-            (match loss with
-            | Some l -> l
-            | None -> base_profile.Ocd_async.Net.loss);
-          pace =
-            (match pace with
-            | Some p -> p
-            | None -> base_profile.Ocd_async.Net.pace);
-        }
-      in
-      let chosen =
-        match protocol_name with
-        | None -> Ocd_dht.Registry.names
-        | Some name ->
-          if List.mem name Ocd_dht.Registry.names then [ name ]
-          else begin
-            Printf.eprintf "%s\n"
-              (Ocd_async.Registry.unknown ~available:Ocd_dht.Registry.names
-                 name);
-            exit 2
-          end
-      in
+      let profile = resolve_profile profile_choice in
+      let chosen = resolve_protocols protocol_name in
       Printf.printf
-        "instance: n=%d m=%d deficit=%d; profile=%s pace=%d loss=%.2f\n\n"
+        "instance: n=%d m=%d deficit=%d; profile=%s pace=%d loss=%s\n\n"
         (Instance.vertex_count inst)
-        inst.Instance.token_count (Instance.total_deficit inst) profile_name
-        profile.Ocd_async.Net.pace profile.Ocd_async.Net.loss;
+        inst.Instance.token_count (Instance.total_deficit inst)
+        profile_choice.profile_name profile.Ocd_async.Net.pace
+        (prob_cell profile.Ocd_async.Net.loss);
       let sink =
         if path_out <> None then Ocd_obs.Sink.memory () else Ocd_obs.Sink.null
       in
@@ -1267,16 +1239,7 @@ let explain_cmd =
         chosen results;
       flush_path_out ~path_out sink
     | "chaos-cell" ->
-      let grid =
-        match grid_name with
-        | "smoke" -> Ocd_bench.Chaos.smoke_grid
-        | "default" -> Ocd_bench.Chaos.default_grid
-        | "failing" -> Ocd_bench.Chaos.failing_grid
-        | other ->
-          Printf.eprintf
-            "unknown grid %S (expected smoke, default or failing)\n" other;
-          exit 2
-      in
+      let grid = resolve_grid ~default:"smoke" grid_name in
       let cell_label =
         match cell_label with
         | Some c -> c
@@ -1337,39 +1300,6 @@ let explain_cmd =
              under a live causal log), or chaos-cell (replay one chaos \
              campaign grid point).")
   in
-  let protocol_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"NAME"
-          ~doc:
-            "Async protocol (async mode default: all; chaos-cell default: \
-             async-local).")
-  in
-  let profile_arg =
-    Arg.(
-      value & opt string "default"
-      & info [ "profile" ] ~docv:"PROFILE"
-          ~doc:"Network profile for async mode: default or lockstep.")
-  in
-  let loss_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "loss" ] ~docv:"P" ~doc:"Override per-message loss probability.")
-  in
-  let pace_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "pace" ] ~docv:"TICKS" ~doc:"Override ticks per round.")
-  in
-  let grid_arg =
-    Arg.(
-      value & opt string "smoke"
-      & info [ "grid" ] ~docv:"GRID"
-          ~doc:"Chaos grid for chaos-cell mode: smoke, default or failing.")
-  in
   let cell_arg =
     Arg.(
       value
@@ -1406,8 +1336,8 @@ let explain_cmd =
     Term.(
       term_result
         (const run $ mode_arg $ seed_arg $ topology_arg $ n_arg $ tokens_arg
-       $ threshold_arg $ protocol_arg $ strategy_arg $ profile_arg $ loss_arg
-       $ pace_arg $ grid_arg $ cell_arg $ trial_arg $ jobs_arg $ path_out_arg))
+       $ threshold_arg $ protocol_arg $ strategy_arg $ profile_term
+       $ grid_arg $ cell_arg $ trial_arg $ jobs_arg $ path_out_arg))
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
