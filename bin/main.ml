@@ -6,7 +6,8 @@
      ocd exact      — solve a small instance exactly (search and/or IP)
      ocd reduce     — the Dominating Set -> FOCD reduction demo
      ocd bounds     — print the §5.1 lower bounds for a workload
-     ocd experiment — run an extension experiment
+     ocd experiment — run an extension experiment, or `all` to
+                      regenerate the whole evaluation
      ocd export     — dump a workload/schedule in the text codec
      ocd trace      — render a run's progress timeline
      ocd async      — run the asynchronous message-passing protocols
@@ -30,11 +31,25 @@ open Ocd_prelude
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* An integer option below [lo] is a usage error (exit 124 with the
+   usage line), not an exception from deep inside a generator. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected an integer >= %d" lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let n_arg =
-  Arg.(value & opt int 100 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
+  Arg.(
+    value & opt (int_at_least 1) 100 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
 
 let tokens_arg =
-  Arg.(value & opt int 50 & info [ "tokens" ] ~docv:"M" ~doc:"Token count.")
+  Arg.(
+    value
+    & opt (int_at_least 0) 50
+    & info [ "tokens" ] ~docv:"M" ~doc:"Token count.")
 
 let topology_arg =
   let parse s =
@@ -75,17 +90,9 @@ let full_arg =
     & info [ "full" ] ~doc:"Use the paper's full sweep parameters.")
 
 let jobs_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "expected a positive integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt positive_int (Pool.default_jobs ())
+    & opt (int_at_least 1) (Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the sweep (default: OCD_BENCH_JOBS or the \
@@ -169,18 +176,39 @@ let with_observed ~trace_out ~metrics_out body =
 
 (* ---------------------- workload building ------------------------- *)
 
-let build_instance ~seed ~topology ~n ~tokens ~threshold ~files ~multi_sender =
-  let rng = Prng.create ~seed in
-  let graph = Ocd_topology.Topology.generate rng topology ~n () in
-  let scenario =
-    if files > 1 || multi_sender then
-      Scenario.subdivide_files rng ~graph ~total_tokens:tokens ~files
-        ~multi_sender ()
-    else if threshold < 1.0 then
-      Scenario.receiver_density rng ~graph ~tokens ~threshold ()
-    else Scenario.single_file rng ~graph ~tokens ()
-  in
-  scenario.Scenario.instance
+(* Rejects, as a usage error, every argument combination the
+   generators would reject with [Invalid_argument]; an
+   [Invalid_argument] that still escapes is a bug and stays an internal
+   error. *)
+let build_instance ?(files = 1) ?(multi_sender = false) ~seed ~topology ~n
+    ~tokens ~threshold () =
+  let subdivide = files > 1 || multi_sender in
+  let min_n = Ocd_topology.Topology.min_vertices topology in
+  let usage fmt = Printf.ksprintf (fun msg -> Error (`Msg msg)) fmt in
+  if n < min_n then
+    usage "-n %d: the %s topology needs at least %d vertices" n
+      (Ocd_topology.Topology.kind_name topology)
+      min_n
+  else if threshold < 0.0 then
+    usage "--threshold %g: expected a value in [0, 1]" threshold
+  else if subdivide && (files < 1 || tokens mod files <> 0) then
+    usage "--files %d must divide --tokens %d" files tokens
+  else
+    let rng = Prng.create ~seed in
+    let graph = Ocd_topology.Topology.generate rng topology ~n () in
+    let receivers = Ocd_graph.Digraph.vertex_count graph - 1 in
+    if subdivide && files > receivers then
+      usage "--files %d: more files than the %d receivers" files receivers
+    else
+      let scenario =
+        if subdivide then
+          Scenario.subdivide_files rng ~graph ~total_tokens:tokens ~files
+            ~multi_sender ()
+        else if threshold < 1.0 then
+          Scenario.receiver_density rng ~graph ~tokens ~threshold ()
+        else Scenario.single_file rng ~graph ~tokens ()
+      in
+      Ok scenario.Scenario.instance
 
 (* ---------------------- ocd run ----------------------------------- *)
 
@@ -219,8 +247,9 @@ let find_strategy name =
 let run_cmd =
   let run seed topology n tokens threshold files multi_sender strategy
       trace_out metrics_out =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files ~multi_sender
+    let* inst =
+      build_instance ~files ~multi_sender ~seed ~topology ~n ~tokens
+        ~threshold ()
     in
     Printf.printf "instance: n=%d m=%d deficit=%d (bw_lb=%d, moves_lb=%s)\n\n"
       (Instance.vertex_count inst)
@@ -305,11 +334,11 @@ let figure_cmd =
 
 let exact_cmd =
   let run seed n tokens horizon use_ip =
-    let inst =
-      if n = 0 then Figure1.instance ()
+    let* inst =
+      if n = 0 then Ok (Figure1.instance ())
       else
         build_instance ~seed ~topology:Ocd_topology.Topology.Random ~n ~tokens
-          ~threshold:1.0 ~files:1 ~multi_sender:false
+          ~threshold:1.0 ()
     in
     Printf.printf "instance: n=%d m=%d\n" (Instance.vertex_count inst)
       inst.Instance.token_count;
@@ -338,16 +367,20 @@ let exact_cmd =
           (Schedule.move_count schedule)
           (Ocd_exact.Ip_formulation.variable_count inst ~horizon:tau)
       | None -> print_endline "IP FOCD: no solution within budget/horizon"
-    end
+    end;
+    Ok ()
   in
   let n_arg =
     Arg.(
-      value & opt int 0
+      value & opt (int_at_least 0) 0
       & info [ "n" ] ~docv:"N"
           ~doc:"Vertex count for a random instance (0 = the Figure 1 instance).")
   in
   let tokens_arg =
-    Arg.(value & opt int 2 & info [ "tokens" ] ~docv:"M" ~doc:"Token count.")
+    Arg.(
+      value
+      & opt (int_at_least 0) 2
+      & info [ "tokens" ] ~docv:"M" ~doc:"Token count.")
   in
   let horizon =
     Arg.(
@@ -360,7 +393,8 @@ let exact_cmd =
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Solve a small instance exactly")
-    Term.(const run $ seed_arg $ n_arg $ tokens_arg $ horizon $ use_ip)
+    Term.(
+      term_result (const run $ seed_arg $ n_arg $ tokens_arg $ horizon $ use_ip))
 
 (* ---------------------- ocd reduce --------------------------------- *)
 
@@ -407,10 +441,7 @@ let reduce_cmd =
 
 let bounds_cmd =
   let run seed topology n tokens threshold =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
-    in
+    let* inst = build_instance ~seed ~topology ~n ~tokens ~threshold () in
     Printf.printf "deficit (bandwidth lower bound): %d\n"
       (Bounds.bandwidth_lower_bound inst);
     if Instance.satisfiable inst then begin
@@ -421,61 +452,50 @@ let bounds_cmd =
       Printf.printf "serial-Steiner bandwidth (upper): %d\n"
         (Ocd_baselines.Serial_steiner.bandwidth_upper_bound inst)
     end
-    else print_endline "instance is unsatisfiable"
+    else print_endline "instance is unsatisfiable";
+    Ok ()
   in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Print the §5.1 lower bounds for a workload")
-    Term.(const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg $ threshold_arg)
+    Term.(
+      term_result
+        (const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg
+       $ threshold_arg))
 
 (* ---------------------- ocd experiment ----------------------------- *)
 
 let experiment_cmd =
+  let module E = Ocd_bench.Experiments in
+  let plain f ~jobs:_ ~full:_ ~n:_ () = f () in
+  let jobbed (f : ?jobs:int -> unit -> unit) ~jobs ~full:_ ~n:_ () =
+    f ~jobs ()
+  in
   let experiments =
     [
-      ( "adversary",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.adversary () );
-      ( "ip-vs-search",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.ip_vs_search () );
-      ( "optimality-gap",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.optimality_gap () );
-      ( "baselines",
-        fun ~jobs ~full:_ ~n:_ () -> Ocd_bench.Experiments.baselines ~jobs () );
-      ( "ablation",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.ablation_subdivision ~jobs () );
-      ( "staleness",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.ablation_staleness ~jobs () );
-      ( "dynamics",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.dynamics () );
-      ( "async-overhead",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.async_overhead ~jobs () );
-      ( "dht-lookup",
-        fun ~jobs ~full:_ ~n:_ () -> Ocd_bench.Experiments.dht_lookup ~jobs () );
-      ( "partition-heal",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.partition_heal ~jobs () );
-      ( "explain",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.explain_attribution ~jobs () );
-      ("coding", fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.coding ());
-      ( "underlay",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.underlay () );
-      ( "timeline-perf",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.timeline_perf () );
-      ( "graph-scale",
-        fun ~jobs:_ ~full ~n:_ () -> Ocd_bench.Experiments.graph_scale ~full () );
-      ( "engine-scale",
-        fun ~jobs:_ ~full:_ ~n () -> Ocd_bench.Experiments.engine_scale ?n () );
+      ("all", fun ~jobs ~full ~n:_ () -> E.run_all ~full ~jobs ());
+      ("adversary", plain E.adversary);
+      ("ip-vs-search", plain E.ip_vs_search);
+      ("optimality-gap", plain E.optimality_gap);
+      ("baselines", jobbed E.baselines);
+      ("ablation", jobbed E.ablation_subdivision);
+      ("staleness", jobbed E.ablation_staleness);
+      ("dynamics", plain E.dynamics);
+      ("async-overhead", jobbed E.async_overhead);
+      ("dht-lookup", jobbed E.dht_lookup);
+      ("partition-heal", jobbed E.partition_heal);
+      ("explain", jobbed E.explain_attribution);
+      ("coding", plain E.coding);
+      ("underlay", plain E.underlay);
+      ("graph-scale", fun ~jobs:_ ~full ~n:_ () -> E.graph_scale ~full ());
+      ("engine-scale", fun ~jobs:_ ~full:_ ~n () -> E.engine_scale ?n ());
     ]
   in
+  let names = String.concat ", " (List.map fst experiments) in
   let run name full jobs n =
     match List.assoc_opt name experiments with
     | Some f -> f ~jobs ~full ~n ()
     | None ->
-      Printf.eprintf "unknown experiment %S; available: %s\n" name
-        (String.concat ", " (List.map fst experiments));
+      Printf.eprintf "unknown experiment %S; available: %s\n" name names;
       exit 2
   in
   let name_arg =
@@ -484,21 +504,24 @@ let experiment_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"NAME"
           ~doc:
-            "Experiment: adversary, ip-vs-search, baselines, ablation, \
-             dynamics, async-overhead, dht-lookup, explain, coding, \
-             underlay, timeline-perf, graph-scale or engine-scale.")
+            ("Experiment: " ^ names
+           ^ ".  $(b,all) regenerates the whole evaluation (every figure \
+              and every deterministic extension experiment)."))
   in
   let n_override_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least Ocd_topology.Transit_stub.min_size)) None
       & info [ "n" ] ~docv:"N"
           ~doc:
             "Restrict a scale experiment to a single vertex count \
-             (engine-scale only).")
+             (engine-scale only; its graphs are transit-stub).")
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Run one of the extension experiments")
+    (Cmd.info "experiment"
+       ~doc:
+         "Run one of the extension experiments, or (all) regenerate the \
+          whole evaluation")
     Term.(const run $ name_arg $ full_arg $ jobs_arg $ n_override_arg)
 
 (* ---------------------- ocd export --------------------------------- *)
@@ -525,30 +548,19 @@ let emit ~output text =
 
 let export_cmd =
   let run seed topology n tokens threshold strategy_name output =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
-    in
+    let* inst = build_instance ~seed ~topology ~n ~tokens ~threshold () in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf (Codec.instance_to_string inst);
-    (match strategy_name with
-    | None -> ()
-    | Some name -> (
-      match
-        List.find_opt
-          (fun s -> s.Ocd_engine.Strategy.name = name)
-          (all_strategies ())
-      with
-      | None ->
-        Printf.eprintf "unknown strategy %S\n" name;
-        exit 2
-      | Some strategy ->
+    Option.iter
+      (fun name ->
         let run =
           Ocd_engine.Engine.completed_exn
-            (Ocd_engine.Engine.run ~strategy ~seed:(seed + 1) inst)
+            (Ocd_engine.Engine.run ~strategy:(find_strategy name)
+               ~seed:(seed + 1) inst)
         in
         Buffer.add_string buf
-          (Codec.schedule_to_string run.Ocd_engine.Engine.schedule)));
+          (Codec.schedule_to_string run.Ocd_engine.Engine.schedule))
+      strategy_name;
     emit ~output (Buffer.contents buf)
   in
   Cmd.v
@@ -664,10 +676,7 @@ let resolve_grid ~default name =
 let async_cmd =
   let run seed topology n tokens threshold protocol_name profile_choice
       condition_name monitor_on jobs trace_out metrics_out =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
-    in
+    let* inst = build_instance ~seed ~topology ~n ~tokens ~threshold () in
     let profile = resolve_profile profile_choice in
     let condition =
       match condition_name with
@@ -854,19 +863,19 @@ let chaos_cmd =
   let n_override =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 1)) None
       & info [ "n" ] ~docv:"N" ~doc:"Override the grid's vertex count.")
   in
   let tokens_override =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 0)) None
       & info [ "tokens" ] ~docv:"M" ~doc:"Override the grid's token count.")
   in
   let trials_override =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 1)) None
       & info [ "trials" ] ~docv:"T" ~doc:"Override trials per grid cell.")
   in
   Cmd.v
@@ -887,10 +896,7 @@ let chaos_cmd =
 let dht_cmd =
   let run seed topology n tokens threshold loss crash churn jobs trace_out
       metrics_out =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
-    in
+    let* inst = build_instance ~seed ~topology ~n ~tokens ~threshold () in
     let profile =
       match loss with
       | None -> Ocd_async.Net.default
@@ -1024,10 +1030,7 @@ let dht_cmd =
 
 let trace_cmd =
   let run seed topology n tokens threshold strategy_name output =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
-    in
+    let* inst = build_instance ~seed ~topology ~n ~tokens ~threshold () in
     let strategy = find_strategy (Option.value strategy_name ~default:"local") in
     let run =
       Ocd_engine.Engine.completed_exn
@@ -1061,12 +1064,11 @@ let profile_cmd =
     (* A probing scope with the null sink: deterministic streams stay
        off, the probe collects wall-clock and GC deltas per phase. *)
     let obs = Ocd_obs.create ~probe () in
-    let title =
+    let* title =
       match kind with
       | "run" ->
-        let inst =
-          build_instance ~seed ~topology ~n ~tokens ~threshold:1.0 ~files:1
-            ~multi_sender:false
+        let* inst =
+          build_instance ~seed ~topology ~n ~tokens ~threshold:1.0 ()
         in
         let strategies = all_strategies () in
         List.iter
@@ -1074,35 +1076,38 @@ let profile_cmd =
             ignore
               (Ocd_engine.Engine.run ~obs ~strategy ~seed:(seed + 1) inst))
           strategies;
-        Printf.sprintf "ocd profile run: n=%d m=%d, %d strategies"
-          (Instance.vertex_count inst)
-          inst.Instance.token_count (List.length strategies)
+        Ok
+          (Printf.sprintf "ocd profile run: n=%d m=%d, %d strategies"
+             (Instance.vertex_count inst)
+             inst.Instance.token_count (List.length strategies))
       | "async" ->
-        let inst =
-          build_instance ~seed ~topology ~n ~tokens ~threshold:1.0 ~files:1
-            ~multi_sender:false
+        let* inst =
+          build_instance ~seed ~topology ~n ~tokens ~threshold:1.0 ()
         in
         List.iter
           (fun name ->
             let protocol = Ocd_dht.Registry.find_exn name in
             ignore (Ocd_async.Runtime.run ~obs ~protocol ~seed inst))
           Ocd_dht.Registry.names;
-        Printf.sprintf "ocd profile async: n=%d m=%d, %d protocols"
-          (Instance.vertex_count inst)
-          inst.Instance.token_count
-          (List.length Ocd_dht.Registry.names)
+        Ok
+          (Printf.sprintf "ocd profile async: n=%d m=%d, %d protocols"
+             (Instance.vertex_count inst)
+             inst.Instance.token_count
+             (List.length Ocd_dht.Registry.names))
       | "chaos" ->
         let grid = Ocd_bench.Chaos.smoke_grid in
         ignore (Ocd_bench.Chaos.run ~obs ~jobs ~seed grid);
-        Printf.sprintf "ocd profile chaos: smoke grid, %d cells x %d trials"
-          (List.length grid.Ocd_bench.Chaos.cells)
-          grid.Ocd_bench.Chaos.trials
+        Ok
+          (Printf.sprintf "ocd profile chaos: smoke grid, %d cells x %d trials"
+             (List.length grid.Ocd_bench.Chaos.cells)
+             grid.Ocd_bench.Chaos.trials)
       | other ->
         Printf.eprintf "unknown profile workload %S (run, async, chaos)\n"
           other;
         exit 2
     in
-    print_string (Ocd_obs.Probe.render ~title probe)
+    print_string (Ocd_obs.Probe.render ~title probe);
+    Ok ()
   in
   let kind_arg =
     Arg.(
@@ -1121,8 +1126,9 @@ let profile_cmd =
           metrics/trace streams are the --metrics-out/--trace-out flags \
           of run, async and chaos.")
     Term.(
-      const run $ kind_arg $ seed_arg $ topology_arg $ n_arg $ tokens_arg
-      $ jobs_arg)
+      term_result
+        (const run $ kind_arg $ seed_arg $ topology_arg $ n_arg $ tokens_arg
+       $ jobs_arg))
 
 (* ---------------------- ocd explain -------------------------------- *)
 
@@ -1163,10 +1169,7 @@ let explain_cmd =
       profile_choice grid_name cell_label trial jobs path_out =
     match mode with
     | "run" ->
-      let inst =
-        build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-          ~multi_sender:false
-      in
+      let* inst = build_instance ~seed ~topology ~n ~tokens ~threshold () in
       let strategy =
         find_strategy (Option.value strategy_name ~default:"local")
       in
@@ -1190,10 +1193,7 @@ let explain_cmd =
            chaos-cell modes\n";
       Ok ()
     | "async" ->
-      let inst =
-        build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-          ~multi_sender:false
-      in
+      let* inst = build_instance ~seed ~topology ~n ~tokens ~threshold () in
       let profile = resolve_profile profile_choice in
       let chosen = resolve_protocols protocol_name in
       Printf.printf

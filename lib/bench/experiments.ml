@@ -1080,110 +1080,6 @@ let partition_heal ?(jobs = 1) () =
      violations"
     n tokens (fst window) (snd window)
 
-(* ------------------------------------------------------------------ *)
-(* Timeline micro-benchmark                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The pre-Timeline derivation path, kept here verbatim as the
-   comparison baseline: a full copy of every vertex bitset per step
-   boundary, then a per-vertex scan of the history for completion
-   times — O(steps · n · m) work and allocation per consumer. *)
-let legacy_completion_times (inst : Instance.t) schedule =
-  let current = Array.map Bitset.copy inst.have in
-  let snapshot () = Array.map Bitset.copy current in
-  let history = ref [ snapshot () ] in
-  List.iter
-    (fun moves ->
-      List.iter
-        (fun (m : Move.t) ->
-          if m.token >= 0 && m.token < inst.token_count then
-            Bitset.add current.(m.dst) m.token)
-        moves;
-      history := snapshot () :: !history)
-    (Schedule.steps schedule);
-  let history = Array.of_list (List.rev !history) in
-  Array.mapi
-    (fun v want ->
-      let rec earliest i =
-        if i >= Array.length history then -1
-        else if Bitset.subset want history.(i).(v) then i
-        else earliest (i + 1)
-      in
-      earliest 0)
-    inst.want
-
-let timeline_perf () =
-  Report.section "Timeline: one-pass derivation vs snapshot replay";
-  let table =
-    Report.create ~title:"timeline-perf"
-      ~columns:
-        [ "n"; "tokens"; "steps"; "moves"; "legacy_ms"; "timeline_ms"; "speedup" ]
-  in
-  let reps = 5 in
-  let time f =
-    (* warm-up pass, then CPU time over [reps] passes *)
-    ignore (f ());
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    (Sys.time () -. t0) *. 1000.0 /. float_of_int reps
-  in
-  (* Bidirectional rings: capacity-1 arcs force long pipelined
-     schedules (makespan ~ n/2 + tokens), the regime where the legacy
-     snapshot history is O(steps · n · m) while one pass stays linear.
-     Dense graphs finish in 2-3 steps and never exercise the gap. *)
-  let ring_instance ~n ~tokens =
-    let arcs =
-      List.concat_map
-        (fun v -> [ (v, (v + 1) mod n, 1); ((v + 1) mod n, v, 1) ])
-        (Order.range n)
-    in
-    let g = Ocd_graph.Digraph.of_edges ~vertex_count:n arcs in
-    let all = Order.range tokens in
-    Instance.make ~graph:g ~token_count:tokens
-      ~have:[ (0, all) ]
-      ~want:
-        (List.filter_map
-           (fun v -> if v = 0 then None else Some (v, all))
-           (Order.range n))
-  in
-  List.iter
-    (fun (n, tokens) ->
-      let inst = ring_instance ~n ~tokens in
-      let run =
-        Ocd_engine.Engine.run
-          ~strategy:Ocd_heuristics.Local_rarest.strategy ~seed:1014 inst
-      in
-      let schedule = run.Ocd_engine.Engine.schedule in
-      let legacy_ms = time (fun () -> legacy_completion_times inst schedule) in
-      let timeline_ms =
-        time (fun () -> Timeline.completion_times (Timeline.run inst schedule))
-      in
-      (* both derivations must agree before the timings mean anything *)
-      if
-        legacy_completion_times inst schedule
-        <> Timeline.completion_times (Timeline.run inst schedule)
-      then failwith "timeline_perf: derivations disagree";
-      Report.row table
-        [
-          string_of_int n;
-          string_of_int tokens;
-          string_of_int (Schedule.length schedule);
-          string_of_int (Schedule.move_count schedule);
-          Printf.sprintf "%.3f" legacy_ms;
-          Printf.sprintf "%.3f" timeline_ms;
-          Printf.sprintf "%.1fx" (legacy_ms /. Float.max 1e-9 timeline_ms);
-        ])
-    [ (40, 40); (80, 80); (160, 160); (240, 240); (400, 400) ];
-  Report.render table;
-  Report.note
-    "legacy = full possession snapshot per step + history scan (the \
-     pre-Timeline path of Metrics/Trace/Prune, O(steps*n*m) each); \
-     timeline = single mutating pass with incremental counters; \
-     timings are machine-dependent, so this experiment is not part of \
-     run_all"
-
 let graph_scale ?(full = false) () =
   Report.section "Graph scale: CSR build time, footprint, and tick rate";
   let table =

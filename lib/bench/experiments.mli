@@ -104,13 +104,6 @@ val explain_attribution : ?jobs:int -> unit -> unit
     categories sum to its makespan exactly (asserted).  Deterministic
     for any [jobs] value. *)
 
-val timeline_perf : unit -> unit
-(** Micro-benchmark of the {!Ocd_core.Timeline} one-pass derivation
-    against the legacy full-snapshot possession replay it replaced,
-    over schedules of growing size.  Timings are machine-dependent, so
-    this experiment is deliberately {e not} part of {!run_all} (whose
-    output must stay byte-stable). *)
-
 val graph_scale : ?full:bool -> unit -> unit
 (** Scale curve for the flat CSR graph core: build time, resident
     bytes per node ({!Obj.reachable_words}) and one-round tick rate
@@ -128,3 +121,6 @@ val engine_scale : ?n:int -> unit -> unit
     of {!run_all}. *)
 
 val run_all : ?full:bool -> ?jobs:int -> unit -> unit
+(** Every figure and every deterministic extension experiment, in
+    paper order — what [ocd experiment all] prints.  Byte-identical for
+    any [jobs] value. *)

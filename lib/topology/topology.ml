@@ -13,6 +13,10 @@ let kind_of_name = function
   | "waxman" -> Some Waxman
   | _ -> None
 
+let min_vertices = function
+  | Random | Waxman -> 1
+  | Transit_stub -> Transit_stub.min_size
+
 let generate rng kind ~n ?(weights = Weights.paper_default) () =
   match kind with
   | Random -> Random_graph.erdos_renyi rng ~n ~weights ()

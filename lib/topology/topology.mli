@@ -12,6 +12,9 @@ val all_kinds : kind list
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
 
+val min_vertices : kind -> int
+(** The smallest [n] {!generate} accepts for [kind]. *)
+
 val generate :
   Prng.t -> kind -> n:int -> ?weights:Weights.policy -> unit ->
   Ocd_graph.Digraph.t

@@ -35,8 +35,10 @@ let bulk_threshold = 4096
 
 let bulk_stub_nodes = 32
 
+let min_size = 8
+
 let params_for_size n =
-  if n < 8 then invalid_arg "Transit_stub.params_for_size: n too small";
+  if n < min_size then invalid_arg "Transit_stub.params_for_size: n too small";
   let base = default_params in
   let transit = base.transit_domains * base.transit_nodes in
   if n <= bulk_threshold then begin

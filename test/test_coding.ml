@@ -124,8 +124,9 @@ let prop_coded_runs_valid =
            run.Ocd_coding.Coding.schedule
          = Ok ()
       && Ocd_coding.Coding.all_decoded t
-           (Validate.final_possessions t.Ocd_coding.Coding.instance
-              run.Ocd_coding.Coding.schedule))
+           (Timeline.final
+              (Timeline.run t.Ocd_coding.Coding.instance
+                 run.Ocd_coding.Coding.schedule)))
 
 let prop_redundancy_monotone =
   QCheck.Test.make

@@ -243,7 +243,12 @@ let test_validate_resend_to_holder_is_legal () =
 
 let test_possessions_evolution () =
   let inst = line () in
-  let p = Validate.possessions inst (good_line_schedule ()) in
+  let p =
+    Array.of_list
+      (List.rev
+         (Timeline.fold inst (good_line_schedule ()) ~init:[] ~f:(fun acc v ->
+              Array.map Bitset.copy v.Timeline.have :: acc)))
+  in
   Alcotest.(check int) "three snapshots" 3 (Array.length p);
   Alcotest.(check (list int)) "p0 at 1" [] (Bitset.elements p.(0).(1));
   Alcotest.(check (list int)) "p1 at 1" [ 0; 1 ] (Bitset.elements p.(1).(1));
@@ -251,8 +256,10 @@ let test_possessions_evolution () =
   (* sources never lose tokens *)
   Alcotest.(check (list int)) "p2 at 0" [ 0; 1 ] (Bitset.elements p.(2).(0))
 
-let test_final_possessions () =
-  let final = Validate.final_possessions (line ()) (good_line_schedule ()) in
+let test_timeline_final () =
+  let final =
+    Timeline.final (Timeline.run (line ()) (good_line_schedule ()))
+  in
   Alcotest.(check (list int)) "sink" [ 0; 1 ] (Bitset.elements final.(2))
 
 (* Mutation testing: corrupt a valid successful schedule in a
@@ -807,7 +814,7 @@ let () =
           Alcotest.test_case "resend legal" `Quick
             test_validate_resend_to_holder_is_legal;
           Alcotest.test_case "possessions evolution" `Quick test_possessions_evolution;
-          Alcotest.test_case "final possessions" `Quick test_final_possessions;
+          Alcotest.test_case "final possessions" `Quick test_timeline_final;
           qtest prop_validator_catches_mutations;
         ] );
       ( "metrics",

@@ -125,7 +125,7 @@ let prop_accounting_identities =
       && sum f.Fairness.downloads = m.Metrics.bandwidth
       && Array.for_all (fun c -> c >= 0) m.Metrics.completion_times
       &&
-      let final = Validate.final_possessions inst schedule in
+      let final = Timeline.final (Timeline.run inst schedule) in
       Array.for_all2
         (fun want have -> Bitset.subset want have)
         inst.Instance.want final)
